@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race shard-stress bench bench-compare cityload vet fmt fmt-write chaos chaos-federation cluster-smoke obs stats-demo fuzz-smoke compat check
+.PHONY: build test race multicore shard-stress bench bench-compare cityload vet fmt fmt-write chaos chaos-federation cluster-smoke obs stats-demo fuzz-smoke compat check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The concurrency-heavy suites at one and four processors, three runs
+# each: the snapshot cut protocol, the notifier and the federation only
+# show their races and lost wakeups with more than one processor, which
+# a 1-CPU runner never has.
+multicore:
+	$(GO) test -cpu 1,4 -count=3 ./internal/core ./internal/spatialdb ./internal/fed
 
 # Sharding/snapshot stress suite: the per-floor shard routing, floor
 # migration, snapshot-isolation, and serial-vs-parallel determinism
@@ -38,18 +45,23 @@ bench:
 # cross-benchmark ratios (min_speedup_vs) measured in the SAME run,
 # e.g. the prefiltered heatmap >= 3x cheaper than the pre-PR full
 # scan, and sharded notify dispatch at parity with a single worker.
+# BENCH_6.json holds Figure 9's flatness to the same two checks: an
+# ingest batch with 4096 unrelated subscriptions costs at most 1.25x
+# one with none, measured in the same run.
 # Re-record after an intentional change with:
 #   go run ./cmd/benchcompare -ref BENCH_1.json -update
 #   go run ./cmd/benchcompare -ref BENCH_2.json -update
 #   go run ./cmd/benchcompare -ref BENCH_3.json -update
 #   go run ./cmd/benchcompare -ref BENCH_4.json -update
 #   go run ./cmd/benchcompare -ref BENCH_5.json -update
+#   go run ./cmd/benchcompare -ref BENCH_6.json -update
 bench-compare:
 	$(GO) run ./cmd/benchcompare -ref BENCH_1.json -tolerance 0.30
 	$(GO) run ./cmd/benchcompare -ref BENCH_2.json -tolerance 0.30
 	$(GO) run ./cmd/benchcompare -ref BENCH_3.json -tolerance 0.30
 	$(GO) run ./cmd/benchcompare -ref BENCH_4.json -tolerance 0.30
 	$(GO) run ./cmd/benchcompare -ref BENCH_5.json -tolerance 0.30
+	$(GO) run ./cmd/benchcompare -ref BENCH_6.json -tolerance 0.30
 
 # City-scale sustained-load gate (PERF-9, DESIGN.md §16): a MultiStorey
 # city under an open-loop readings/sec target, a concurrent
@@ -166,6 +178,6 @@ fmt:
 fmt-write:
 	gofmt -l -w .
 
-check: build vet fmt test race shard-stress bench bench-compare cityload chaos chaos-federation obs
+check: build vet fmt test race multicore shard-stress bench bench-compare cityload chaos chaos-federation obs
 	$(MAKE) compat MW_WIRE=binary/json
 	$(MAKE) compat MW_WIRE=json/json

@@ -185,6 +185,10 @@ func TestIngestBatchMatchesSerialIngest(t *testing.T) {
 			t.Errorf("%s: serial %+v != batched %+v", obj, a, b)
 		}
 	}
+	// Handlers run on the asynchronous notifier; Close drains every
+	// queue, so the counts below are complete.
+	serial.Close()
+	batched.Close()
 	serialMu.Lock()
 	ns := len(*serialNotes)
 	serialMu.Unlock()

@@ -116,10 +116,14 @@ type Service struct {
 	bld   *building.Building
 	now   func() time.Time
 
-	mu       sync.Mutex
-	subs     map[string]*subscription
-	lastTrue map[string]map[string]bool // subID -> object -> condition state
-	seq      int
+	mu   sync.Mutex
+	subs map[string]*subscription
+	// inside indexes, per object, the subscriptions whose condition
+	// currently holds for it (object -> subID -> subscription). Only
+	// true states are stored, so exit detection for a reading visits
+	// the subscriptions holding its object and nothing else.
+	inside map[string]map[string]*subscription
+	seq    int
 
 	// privMu guards the read-mostly disclosure tables separately from
 	// the subscription state: applyPrivacy sits on the locate hot path
@@ -270,17 +274,17 @@ func New(b *building.Building, opts ...Option) (*Service, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	s := &Service{
-		db:       db,
-		graph:    graph,
-		bld:      b,
-		now:      time.Now,
-		subs:     make(map[string]*subscription),
-		lastTrue: make(map[string]map[string]bool),
-		privacy:  make(map[string]PrivacyPolicy),
-		acls:     make(map[string]AccessPolicy),
-		cache:    locateCache{entries: make(map[string]*locEntry)},
-		quantum:  defaultCacheQuantum,
-		stop:     make(chan struct{}),
+		db:      db,
+		graph:   graph,
+		bld:     b,
+		now:     time.Now,
+		subs:    make(map[string]*subscription),
+		inside:  make(map[string]map[string]*subscription),
+		privacy: make(map[string]PrivacyPolicy),
+		acls:    make(map[string]AccessPolicy),
+		cache:   locateCache{entries: make(map[string]*locEntry)},
+		quantum: defaultCacheQuantum,
+		stop:    make(chan struct{}),
 	}
 	for _, o := range opts {
 		o.apply(s)
@@ -327,16 +331,14 @@ func New(b *building.Building, opts ...Option) (*Service, error) {
 // currently hold an object inside their region when a new reading for
 // that object lands elsewhere: without this, an object that left a
 // region silently would still be considered inside and its next entry
-// would not notify.
+// would not notify. Only the subscriptions holding the object are
+// visited, so the cost does not grow with the subscription table.
 func (s *Service) observeExit(r model.Reading) {
 	obj := r.MObjectID
 	s.mu.Lock()
 	var stale []*subscription
-	for id, sub := range s.subs {
-		if sub.spec.Object != "" && sub.spec.Object != obj {
-			continue
-		}
-		if s.lastTrue[id][obj] && !sub.region.Intersects(r.Region) {
+	for _, sub := range s.inside[obj] {
+		if !sub.region.Intersects(r.Region) {
 			stale = append(stale, sub)
 		}
 	}
@@ -345,11 +347,32 @@ func (s *Service) observeExit(r model.Reading) {
 		p, _, err := s.probInRect(obj, sub.region)
 		inside := err == nil && p > 0 && p >= sub.spec.MinProb
 		s.mu.Lock()
-		if state, ok := s.lastTrue[sub.id]; ok {
-			state[obj] = inside
+		if s.subs[sub.id] == sub {
+			s.setInside(obj, sub, inside)
 		}
 		s.mu.Unlock()
 	}
+}
+
+// setInside records whether sub's condition holds for obj and returns
+// the previous state. Caller holds s.mu.
+func (s *Service) setInside(obj string, sub *subscription, inside bool) (was bool) {
+	held := s.inside[obj]
+	_, was = held[sub.id]
+	switch {
+	case inside && !was:
+		if held == nil {
+			held = make(map[string]*subscription)
+			s.inside[obj] = held
+		}
+		held[sub.id] = sub
+	case !inside && was:
+		delete(held, sub.id)
+		if len(held) == 0 {
+			delete(s.inside, obj)
+		}
+	}
+	return was
 }
 
 // Notifier sizing. The per-queue buffer keeps the pre-sharding total
@@ -794,13 +817,11 @@ func (s *Service) Subscribe(spec Subscription) (string, error) {
 	id := "sub-" + strconv.Itoa(s.seq)
 	sub := &subscription{id: id, spec: spec, region: rect}
 	s.subs[id] = sub
-	s.lastTrue[id] = make(map[string]bool)
 	s.mu.Unlock()
 
 	if err := s.db.AddTrigger(id, spec.Object, rect, s.onTrigger(sub)); err != nil {
 		s.mu.Lock()
 		delete(s.subs, id)
-		delete(s.lastTrue, id)
 		s.mu.Unlock()
 		return "", err
 	}
@@ -863,14 +884,12 @@ func (s *Service) evalTrigger(sub *subscription, ev spatialdb.TriggerEvent, snap
 		qualifies = false
 	}
 	s.mu.Lock()
-	state, ok := s.lastTrue[sub.id]
-	if !ok { // unsubscribed concurrently
+	if s.subs[sub.id] != sub { // unsubscribed concurrently
 		s.mu.Unlock()
 		evalDone()
 		return
 	}
-	was := state[obj]
-	state[obj] = qualifies
+	was := s.setInside(obj, sub, qualifies)
 	s.mu.Unlock()
 
 	if !qualifies || (was && !sub.spec.EveryReading) {
@@ -902,14 +921,29 @@ func (s *Service) evalTrigger(sub *subscription, ev spatialdb.TriggerEvent, snap
 // Unsubscribe removes a subscription.
 func (s *Service) Unsubscribe(id string) error {
 	s.mu.Lock()
-	_, ok := s.subs[id]
+	sub, ok := s.subs[id]
 	delete(s.subs, id)
-	delete(s.lastTrue, id)
+	if ok {
+		s.release(sub)
+	}
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: unknown subscription %s", ErrBadSub, id)
 	}
 	return s.db.RemoveTrigger(id)
+}
+
+// release drops every inside state sub holds. An object-scoped
+// subscription can only hold its own object; an unscoped one is looked
+// up across the index. Caller holds s.mu.
+func (s *Service) release(sub *subscription) {
+	if obj := sub.spec.Object; obj != "" {
+		s.setInside(obj, sub, false)
+		return
+	}
+	for obj := range s.inside {
+		s.setInside(obj, sub, false)
+	}
 }
 
 // Subscriptions returns the number of active subscriptions.

@@ -150,9 +150,17 @@ func TestChaosFederationKillRestart(t *testing.T) {
 	checkEpochs("gamma back")
 
 	// Phase 4: kill/restart once more while rounds keep flowing, to
-	// catch a migration of phase-2 leftovers mid-handoff.
-	go func() { time.Sleep(2 * time.Millisecond); f.cluster.Kill("gamma") }()
+	// catch a migration of phase-2 leftovers mid-handoff. The restart
+	// waits for the kill: a round that finishes inside the kill's delay
+	// would otherwise restart first and leave gamma dead for good.
+	killDone = make(chan struct{})
+	go func() {
+		defer close(killDone)
+		time.Sleep(2 * time.Millisecond)
+		f.cluster.Kill("gamma")
+	}()
 	ingestRound()
+	<-killDone
 	if err := f.cluster.Restart("gamma"); err != nil {
 		t.Fatal(err)
 	}

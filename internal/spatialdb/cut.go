@@ -12,23 +12,33 @@ import (
 //
 // Every top-level reading-table mutation runs inside a *bracket*:
 //
-//	beginBatch(shards...)   // publish intent: pending++ on every
+//	beginBatch(shards...)   // publish intent: pending++ (and
+//	                        // spanning++ if several) on every
 //	                        // target shard BEFORE mutating any
 //	... mutate under each shard's readMu ...
-//	endBatch(shards...)     // cutSeq++ then pending-- per shard
+//	endBatch(shards...)     // cutSeq++ then spanning--, pending--
 //
-// A capture of one shard is valid only if the shard had no bracket in
-// flight (pending == 0) and its cutSeq did not move across the
-// capture. A whole cut is valid only after one *clean sweep*: a pass
-// over the (re-read) shard list in which every shard verified against
-// its captured cutSeq with pending == 0 and nothing was recaptured.
-// That pair of counters is what makes cross-shard batches atomic
-// without a global lock: a batch either still holds pending on some
-// target shard when the sweep checks it (sweep fails), or it finished
-// before every check — in which case it bumped cutSeq on ALL its
-// targets, so any capture predating the batch mismatches and is
-// retaken. Either way no clean sweep can mix pre-batch and post-batch
-// captures.
+// A bracket over several shards also counts itself in each target
+// shard's spanning count for its whole duration.
+//
+// A capture of one shard takes the shard's read lock. Every mutation
+// of one shard's table happens inside one write-lock hold, so the
+// captured table holds a single-shard bracket whole or not at all; the
+// capture fails only while a spanning bracket is in flight on the
+// shard, since that one may already have written another shard. A
+// whole cut is valid only after a *clean sweep*: every shard captured
+// before the sweep's last capture re-verifies after it, with spanning
+// == 0 and its cutSeq unmoved. That pair of counters is what makes
+// cross-shard batches atomic without a global lock: a spanning batch
+// either is still in flight on some target shard when the sweep checks
+// it (sweep fails), or it finished before every check — in which case
+// it bumped cutSeq on ALL its targets, so any capture predating the
+// batch mismatches and is retaken. Either way no clean sweep can mix
+// pre-batch and post-batch captures. Single-shard brackets never fail
+// a capture, so back-to-back writers on one floor cannot starve cuts.
+// A cross-floor migration (placeObject) moves rows under both shards'
+// write locks and bumps both cutSeqs there: it is an atomic step of
+// its own, ordered before the store of the batch that needed it.
 //
 // Sweeps are optimistic and can in principle keep losing races under
 // heavy sustained ingest, so after snapSweepRounds unclean rounds the
@@ -58,9 +68,10 @@ var (
 
 // snapSweepRounds bounds the optimistic capture/verify rounds before
 // Snapshot escalates to the gate drain. This is the documented retry
-// bound: a cut costs at most snapSweepRounds O(shards) sweeps plus one
-// drain.
-const snapSweepRounds = 8
+// bound: a cut costs at most snapSweepRounds rounds of two O(shards)
+// passes plus one drain. A variable so the escalation tests can force
+// the drain with 0.
+var snapSweepRounds = 8
 
 // beginBatch opens a top-level mutation bracket over the given shards.
 // It publishes pending on every shard before the caller mutates any of
@@ -68,10 +79,14 @@ const snapSweepRounds = 8
 // any one target shard. Blocks only while an escalated snapshot holds
 // the cut gate closed.
 func (db *DB) beginBatch(shs ...*shard) {
+	spans := len(shs) > 1
 	for {
 		if !db.cutGate.Load() {
 			for _, sh := range shs {
 				sh.pending.Add(1)
+				if spans {
+					sh.spanning.Add(1)
+				}
 			}
 			// Double check after publishing: the atomics are
 			// sequentially consistent, so either the draining snapshot
@@ -81,6 +96,9 @@ func (db *DB) beginBatch(shs ...*shard) {
 				return
 			}
 			for _, sh := range shs {
+				if spans {
+					sh.spanning.Add(-1)
+				}
 				sh.pending.Add(-1)
 			}
 			db.wakeCutWaiters()
@@ -94,8 +112,12 @@ func (db *DB) beginBatch(shs ...*shard) {
 // readmits captures. A bracket that turned out to mutate nothing must
 // use endBatchClean instead so it does not invalidate pooled cuts.
 func (db *DB) endBatch(shs ...*shard) {
+	spans := len(shs) > 1
 	for _, sh := range shs {
 		sh.cutSeq.Add(1)
+		if spans {
+			sh.spanning.Add(-1)
+		}
 		sh.pending.Add(-1)
 	}
 	db.wakeCutWaiters()
@@ -104,7 +126,11 @@ func (db *DB) endBatch(shs ...*shard) {
 // endBatchClean closes a bracket that mutated nothing: pending is
 // released without moving cutSeq, so pooled cuts stay valid.
 func (db *DB) endBatchClean(shs ...*shard) {
+	spans := len(shs) > 1
 	for _, sh := range shs {
+		if spans {
+			sh.spanning.Add(-1)
+		}
 		sh.pending.Add(-1)
 	}
 	db.wakeCutWaiters()

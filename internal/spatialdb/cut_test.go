@@ -2,6 +2,7 @@ package spatialdb
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,6 +118,106 @@ func TestCutConcurrentIngestNeverTornNeverBlocked(t *testing.T) {
 			if n := len(final.ReadingsFor(obj, t0)); n != batchLen*batches {
 				t.Errorf("%s: final rows = %d, want %d", obj, n, batchLen*batches)
 			}
+		}
+	}
+}
+
+// TestSnapshotEscalationNoLostWakeup forces every cut onto the gate
+// drain (zero optimistic rounds) and runs several escalating cutters
+// against cross-floor writers on four CPUs. Two escalations overlap
+// constantly: one reopens the gate while the other waits on gateCond,
+// and a waiter that kept waiting with the gate open would never be
+// woken again (wakeCutWaiters broadcasts only while the gate is
+// closed). Escalations still arriving can rescue such a waiter, so the
+// stuck state shows once the load stops: cutStress runs in short
+// rounds, each of which must finish.
+func TestSnapshotEscalationNoLostWakeup(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	old := snapSweepRounds
+	snapSweepRounds = 0
+	defer func() { snapSweepRounds = old }()
+	escBase := mCutEscalations.Value()
+	cutStress(t)
+	if mCutEscalations.Value() == escBase {
+		t.Error("no cut escalated; the test did not exercise the gate drain")
+	}
+}
+
+// TestSnapshotCrossFloorBatchesNeverTorn runs the same load through
+// the optimistic sweep: captures race batches that span every floor,
+// and no cut may show one half applied.
+func TestSnapshotCrossFloorBatchesNeverTorn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cutStress(t)
+}
+
+// cutStress runs writers whose every batch spans all floors against
+// concurrent cutters, in rounds that must each finish within a bound
+// (a hung round fails with a goroutine dump instead of hanging), and
+// checks every cut for torn batches.
+func cutStress(t *testing.T) {
+	const (
+		floors  = 4
+		writers = 4
+		cutters = 4
+		rounds  = 20
+		batches = 50
+		cutsPer = 50
+	)
+	db := multiFloorDB(t, floors)
+	if err := db.RegisterSensor("s", longSpec()); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for b := 0; b < batches; b++ {
+					batch := make([]model.Reading, floors)
+					for f := 1; f <= floors; f++ {
+						obj := fmt.Sprintf("w%d-f%d", w, f)
+						batch[f-1] = floorReading("s", obj, f, float64(b%50), 5,
+							t0.Add(time.Duration(round*batches+b)*time.Millisecond))
+					}
+					if _, err := db.InsertReadings(batch, nil); err != nil {
+						t.Errorf("insert: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		for c := 0; c < cutters; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < cutsPer; i++ {
+					snap := db.Snapshot()
+					// One batch writes one row per floor for its writer,
+					// so a whole cut shows equal counts across a
+					// writer's objects (the trim caps them all alike).
+					for w := 0; w < writers; w++ {
+						n1 := len(snap.rowsFor(fmt.Sprintf("w%d-f1", w)))
+						for f := 2; f <= floors; f++ {
+							if n := len(snap.rowsFor(fmt.Sprintf("w%d-f%d", w, f))); n != n1 {
+								t.Errorf("torn batch: writer %d has %d rows on floor %d, %d on floor 1", w, n, f, n1)
+							}
+						}
+					}
+					snap.Close()
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("round %d: cutters or writers hung (lost wakeup at the cut gate):\n%s", round, buf)
 		}
 	}
 }

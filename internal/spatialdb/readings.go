@@ -391,23 +391,27 @@ func (db *DB) InsertReadings(rs []model.Reading, dispatch FiringDispatcher) (int
 	// Phase 3 — match triggers for the whole batch under the shared
 	// trigger lock; firing happens after release. Matching iterates the
 	// batch in submission order, so per-object firing order is
-	// preserved regardless of how storage grouped by shard.
+	// preserved regardless of how storage grouped by shard. A reading
+	// meets the unscoped triggers its region hits in the R-tree plus
+	// its own object's scoped triggers, tested with the same
+	// boundary-inclusive Intersects the R-tree uses.
 	visits0 := db.triggerIdx.Visits()
 	var firings []TriggerFiring
 	db.trigMu.RLock()
-	for _, r := range prepared {
-		for _, it := range db.triggerIdx.SearchIntersect(r.Region) {
-			tr := db.triggers[it.ID]
-			if tr == nil {
-				continue
+	var r *model.Reading
+	matchUnscoped := func(_ geom.Rect, id string) bool {
+		if tr := db.triggers[id]; tr != nil {
+			firings = append(firings, tr.firing(r))
+		}
+		return true
+	}
+	for i := range prepared {
+		r = &prepared[i]
+		db.triggerIdx.SearchIntersectFunc(r.Region, matchUnscoped)
+		for _, tr := range db.scoped[r.MObjectID] {
+			if tr.region.Intersects(r.Region) {
+				firings = append(firings, tr.firing(r))
 			}
-			if tr.mobject != "" && tr.mobject != r.MObjectID {
-				continue
-			}
-			firings = append(firings, TriggerFiring{
-				Fn:    tr.fn,
-				Event: TriggerEvent{TriggerID: tr.id, Reading: r, Region: tr.region},
-			})
 		}
 	}
 	visitDelta := db.triggerIdx.Visits() - visits0
@@ -569,26 +573,65 @@ func (db *DB) ReadingsFor(mobjectID string, now time.Time) []model.Reading {
 
 // LatestPerSensor returns, for each sensor that has an unexpired
 // reading for the object, only its newest one — the working set for
-// fusion.
+// fusion. While none of the object's rows has expired it reduces them
+// in place under the shared lock; otherwise it goes through
+// ReadingsFor, which prunes the expired rows.
 func (db *DB) LatestPerSensor(mobjectID string, now time.Time) []model.Reading {
-	return latestPerSensor(db.ReadingsFor(mobjectID, now))
+	specs := db.sensorView.Load().specs
+	if sh := db.residentShard(mobjectID); sh != nil {
+		sh.readMu.RLock()
+		if db.residentShard(mobjectID) == sh {
+			latest, expired := latestPerSensor(sh.table.Load().rows[mobjectID], specs, now)
+			if !expired {
+				sh.readMu.RUnlock()
+				return latest
+			}
+		}
+		sh.readMu.RUnlock()
+	}
+	latest, _ := latestPerSensor(db.ReadingsFor(mobjectID, now), specs, now)
+	return latest
 }
 
-// latestPerSensor reduces TTL-filtered rows to the newest per sensor,
-// sorted by sensor ID (shared by the live path and Snapshot).
-func latestPerSensor(rows []model.Reading) []model.Reading {
-	latest := make(map[string]model.Reading, len(rows))
-	for _, r := range rows {
-		if cur, ok := latest[r.SensorID]; !ok || r.Time.After(cur.Time) {
-			latest[r.SensorID] = r
+// latestPerSensor reduces an object's rows to the newest unexpired row
+// per sensor, sorted by sensor ID, in one pass (shared by the live path
+// and Snapshot), and reports whether it skipped any row. Rows from
+// unregistered sensors and rows past their sensor's TTL are skipped; of
+// two rows from one sensor with equal times, the earlier row wins. An
+// object reports through a handful of sensors, so the output stays
+// sorted by insertion in place of a map and a sort.
+func latestPerSensor(rows []model.Reading, specs map[string]model.SensorSpec, now time.Time) (latest []model.Reading, expired bool) {
+	var (
+		sensor string
+		spec   model.SensorSpec
+		known  bool
+	)
+	for i := range rows {
+		r := &rows[i]
+		// Consecutive rows mostly share a sensor; look its spec up once.
+		if i == 0 || r.SensorID != sensor {
+			sensor = r.SensorID
+			spec, known = specs[sensor]
 		}
+		if !known || r.Expired(now, spec.TTL) {
+			expired = true
+			continue
+		}
+		j := 0
+		for j < len(latest) && latest[j].SensorID < r.SensorID {
+			j++
+		}
+		if j < len(latest) && latest[j].SensorID == r.SensorID {
+			if r.Time.After(latest[j].Time) {
+				latest[j] = *r
+			}
+			continue
+		}
+		latest = append(latest, model.Reading{})
+		copy(latest[j+1:], latest[j:])
+		latest[j] = *r
 	}
-	out := make([]model.Reading, 0, len(latest))
-	for _, r := range latest {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].SensorID < out[j].SensorID })
-	return out
+	return latest, expired
 }
 
 // MobileObjects returns the IDs of all objects with stored readings,

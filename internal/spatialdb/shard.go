@@ -209,11 +209,14 @@ type shard struct {
 	writeEpoch atomic.Uint64
 
 	// Cut-protocol state (cut.go): pending counts mutation brackets in
-	// flight on this shard; cutSeq advances at the end of every bracket
+	// flight on this shard, and spanning the ones among them that also
+	// mutate other shards; cutSeq advances at the end of every bracket
 	// that actually mutated the table. A snapshot capture of this shard
-	// is valid iff pending stayed 0 and cutSeq stayed put across it.
-	pending atomic.Int32
-	cutSeq  atomic.Uint64
+	// (under readMu, so a single-shard mutation is whole or absent) is
+	// valid iff spanning stayed 0 and cutSeq stayed put across it.
+	pending  atomic.Int32
+	spanning atomic.Int32
+	cutSeq   atomic.Uint64
 
 	// inserts counts readings stored here (mirrors the per-shard
 	// counter for ShardStats without a registry read).

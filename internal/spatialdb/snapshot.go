@@ -77,36 +77,33 @@ func (s *Snapshot) Close() {
 	mSnapPoolLive.Add(-1)
 }
 
-// captureShard optimistically captures one shard without any lock: it
-// is valid only if no mutation bracket was in flight and the shard's
-// cutSeq did not move across the capture. ok=false means the caller
-// must retry this shard on the next sweep round.
+// captureShard captures one shard under its read lock. Every
+// single-shard mutation runs inside one write-lock hold, so the table
+// seen here holds it whole or not at all; only a bracket spanning
+// several shards can be half applied across them, and ok=false reports
+// one in flight on this shard, to be retried on the next sweep round.
 func (db *DB) captureShard(sh *shard) (shardSnap, bool) {
-	seq := sh.cutSeq.Load()
-	if sh.pending.Load() != 0 {
+	sh.readMu.RLock()
+	defer sh.readMu.RUnlock()
+	if sh.spanning.Load() != 0 {
 		return shardSnap{}, false
 	}
-	t := sh.table.Load()
-	epoch := sh.writeEpoch.Load()
-	// Freeze before validating: if the validation passes, no writer
-	// mutated between the table load and the freeze, so every later
-	// writer clones first (mutableTable) and t is immutable forever. If
-	// a writer raced past the freeze, the re-checks below catch it.
+	// Freezing under the read lock makes every later writer clone first
+	// (mutableTable), so the captured table is immutable from here on.
 	sh.readFrozen.Store(true)
-	if sh.pending.Load() != 0 || sh.cutSeq.Load() != seq {
-		return shardSnap{}, false
-	}
-	return shardSnap{key: sh.key, seq: seq, epoch: epoch, table: t}, true
+	return shardSnap{key: sh.key, seq: sh.cutSeq.Load(), epoch: sh.writeEpoch.Load(), table: sh.table.Load()}, true
 }
 
 // capture assembles a consistent cut of every shard via the optimistic
-// sweep (see cut.go): capture each shard, then keep re-verifying the
-// whole set — re-capturing shards whose cutSeq moved or with brackets
-// in flight — until one full round passes with every shard clean and
-// nothing recaptured. The shard list is re-read every round so shards
-// created mid-cut are included. prev (may be nil) seeds the captured
-// set so shards unchanged since the previous cut reuse its clones.
-// After snapSweepRounds unclean rounds it escalates to drainAndCapture.
+// sweep (see cut.go). Each round first (re)captures every shard whose
+// captured state went stale or that has no capture yet, then, if any
+// were captured, verifies every other shard once more: a round is clean
+// when every shard captured before the round's last capture is still
+// quiescent at its captured cutSeq. The shard list is re-read for each
+// pass so shards created mid-cut are included. prev (may be nil) seeds
+// the captured set so shards unchanged since the previous cut reuse
+// its clones. After snapSweepRounds unclean rounds it escalates to the
+// gate drain.
 func (db *DB) capture(prev *Snapshot) []shardSnap {
 	captured := make(map[string]shardSnap)
 	seeded := make(map[string]bool)
@@ -116,45 +113,79 @@ func (db *DB) capture(prev *Snapshot) []shardSnap {
 			seeded[ss.key] = true
 		}
 	}
+	valid := func(sh *shard) bool {
+		ss, ok := captured[sh.key]
+		return ok && sh.spanning.Load() == 0 && sh.cutSeq.Load() == ss.seq
+	}
 	for round := 0; round < snapSweepRounds; round++ {
 		shards := db.allShards()
-		clean := true
+		last, busy := "", false
 		for _, sh := range shards {
-			ss, ok := captured[sh.key]
-			if ok && sh.pending.Load() == 0 && sh.cutSeq.Load() == ss.seq {
+			if valid(sh) {
 				continue
 			}
-			if ok && !seeded[sh.key] {
+			if _, ok := captured[sh.key]; ok && !seeded[sh.key] {
 				// A capture taken during THIS cut went stale: a writer
-				// won the race this round. (A seeded entry from the
-				// previous snapshot being outdated is expected, not a
-				// retry.)
+				// won the race. (A seeded entry from the previous
+				// snapshot being outdated is expected, not a retry.)
 				mCutRetries.Inc()
 			}
-			clean = false
 			delete(seeded, sh.key)
-			if ss, ok = db.captureShard(sh); ok {
+			if ss, ok := db.captureShard(sh); ok {
 				captured[sh.key] = ss
+				last = sh.key
 			} else {
 				delete(captured, sh.key)
+				busy = true
+			}
+		}
+		if busy {
+			// A spanning batch is in flight right now; yield so it can
+			// finish instead of burning the next round spinning against
+			// it (on GOMAXPROCS=1 the spin would otherwise block the
+			// very writer it is waiting out until preemption).
+			runtime.Gosched()
+			continue
+		}
+		if last == "" {
+			// Every shard verified without a recapture.
+			return orderedSnaps(shards, captured)
+		}
+		// Verify every shard but the last captured one, right after
+		// that capture. The last capture saw no spanning bracket in
+		// flight on its shard; a shard that verifies afterwards had
+		// none in flight and completed no bracket since its own
+		// capture. So at the instant of the last capture no spanning
+		// bracket was half applied and every captured table was
+		// current: a consistent cut, without waiting for a round in
+		// which no shard moved.
+		shards = db.allShards()
+		clean := true
+		for _, sh := range shards {
+			if sh.key != last && !valid(sh) {
+				clean = false
+				break
 			}
 		}
 		if clean {
 			return orderedSnaps(shards, captured)
 		}
-		// An unclean round means writers hold brackets right now; yield
-		// so they can finish instead of burning the next round spinning
-		// against them (on GOMAXPROCS=1 the spin would otherwise block
-		// the very writers it is waiting out until preemption).
-		runtime.Gosched()
 	}
 	// Sustained ingest kept winning the race: close the gate, drain
 	// in-flight brackets, and capture stably. New brackets park at the
 	// gate (beginBatch), so every shard is quiescent here.
+	//
+	// The gate is (re)closed at the top of every wait: a concurrent
+	// escalation can reopen it while this one waits on gateCond, and a
+	// waiter with the gate open would miss every wakeCutWaiters
+	// broadcast, which fire only while the gate is closed.
 	mCutEscalations.Inc()
 	db.gateMu.Lock()
-	db.cutGate.Store(true)
-	for !db.pendingDrained() {
+	for {
+		db.cutGate.Store(true)
+		if db.pendingDrained() {
+			break
+		}
 		db.gateCond.Wait()
 	}
 	shards := db.allShards()
@@ -304,7 +335,8 @@ func (s *Snapshot) ReadingsFor(mobjectID string, now time.Time) []model.Reading 
 // for the object at the cut, only its newest one — the fusion working
 // set, identical in shape to DB.LatestPerSensor.
 func (s *Snapshot) LatestPerSensor(mobjectID string, now time.Time) []model.Reading {
-	return latestPerSensor(s.ReadingsFor(mobjectID, now))
+	latest, _ := latestPerSensor(s.rowsFor(mobjectID), s.sensors.specs, now)
+	return latest
 }
 
 // MobileObjects returns the IDs of all objects with stored readings at

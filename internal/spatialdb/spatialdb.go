@@ -27,6 +27,7 @@ package spatialdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -144,6 +145,14 @@ type trigger struct {
 	fn      TriggerFunc
 }
 
+// firing pairs the trigger's callback with its event for reading r.
+func (tr *trigger) firing(r *model.Reading) TriggerFiring {
+	return TriggerFiring{
+		Fn:    tr.fn,
+		Event: TriggerEvent{TriggerID: tr.id, Reading: *r, Region: tr.region},
+	}
+}
+
 // maxReadingsPerObject bounds the stored rows per mobile object; the
 // newest rows are kept. 64 comfortably covers every deployed sensor
 // reporting at once with history to spare.
@@ -212,11 +221,14 @@ type DB struct {
 	// again when nothing changed (see cutUnchanged).
 	curSnap atomic.Pointer[Snapshot]
 
-	// Location triggers (§5.3) and their R-tree index. Trigger regions
-	// routinely span floors, so the index stays global.
+	// Location triggers (§5.3). Unscoped triggers live in an R-tree
+	// (their regions routinely span floors, so the index stays global);
+	// object-scoped triggers live in a per-object list, so a reading
+	// only ever meets the scoped triggers of its own object.
 	trigMu     sync.RWMutex
 	triggers   map[string]*trigger
 	triggerIdx *rtree.Tree
+	scoped     map[string][]*trigger
 
 	// hooks run after every successful reading insert (and after the
 	// matching triggers), outside all table locks.
@@ -241,6 +253,7 @@ func New(frames *coords.Tree, universe geom.Rect) *DB {
 		shards:     make(map[string]*shard),
 		triggers:   make(map[string]*trigger),
 		triggerIdx: rtree.New(),
+		scoped:     make(map[string][]*trigger),
 		universe:   universe,
 	}
 	db.sensorView.Store(&sensorTable{specs: make(map[string]model.SensorSpec)})
@@ -583,9 +596,10 @@ func (db *DB) ObjectGeneration() uint64 { return db.objGen.Load() }
 // Triggers
 
 // AddTrigger registers a spatial trigger: fn fires whenever a reading
-// for mobjectID (any object if empty) intersects region. The trigger
-// region is indexed so inserts stay sub-linear in the number of
-// triggers.
+// for mobjectID (any object if empty) intersects region. Unscoped
+// regions are indexed and scoped ones filed under their object, so an
+// insert's matching work is the unscoped index hits plus its own
+// object's triggers, whatever the number of triggers.
 func (db *DB) AddTrigger(id, mobjectID string, region geom.Rect, fn TriggerFunc) error {
 	if id == "" || fn == nil {
 		return fmt.Errorf("%w: need id and callback", ErrBadTrigger)
@@ -600,7 +614,11 @@ func (db *DB) AddTrigger(id, mobjectID string, region geom.Rect, fn TriggerFunc)
 	}
 	tr := &trigger{id: id, mobject: mobjectID, region: region, fn: fn}
 	db.triggers[id] = tr
-	db.triggerIdx.Insert(region, id)
+	if mobjectID != "" {
+		db.scoped[mobjectID] = append(db.scoped[mobjectID], tr)
+	} else {
+		db.triggerIdx.Insert(region, id)
+	}
 	return nil
 }
 
@@ -612,8 +630,18 @@ func (db *DB) RemoveTrigger(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: trigger %s", ErrNotFound, id)
 	}
-	db.triggerIdx.Delete(tr.region, id)
 	delete(db.triggers, id)
+	if tr.mobject == "" {
+		db.triggerIdx.Delete(tr.region, id)
+		return nil
+	}
+	// Order-preserving delete: registration order is the firing order
+	// among one object's scoped triggers.
+	if kept := slices.DeleteFunc(db.scoped[tr.mobject], func(t *trigger) bool { return t == tr }); len(kept) > 0 {
+		db.scoped[tr.mobject] = kept
+	} else {
+		delete(db.scoped, tr.mobject)
+	}
 	return nil
 }
 
